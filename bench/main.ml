@@ -5,7 +5,8 @@
    one-cluster allocation check, the disabled-tracing overhead gate
    (B10), the daemon round-trip overhead bench (B11), the
    mutate-then-requery epoch/result-cache bench (B12, gated: cache hits
-   must charge zero), the native-kernel gates (B13: C fast paths
+   must charge zero, and the incrementally appended dense index must equal
+   a fresh build row for row), the native-kernel gates (B13: C fast paths
    bit-identical to the pure-OCaml references, parallel k-d build equal
    to serial, and a kernel speedup floor), and the competitor e2e bench
    (B14: centralized one-cluster vs the LDP protocol vs the private MEB
@@ -619,8 +620,10 @@ let run_serving_bench ~quick ~jobs =
    result cache: zero execution attempts, zero additional charge,
    bit-identical outputs — gated), then an append and the same batch once
    more (must recompute against the new epoch and pay again — also
-   gated).  Prices what a cache hit saves and what an epoch transition
-   costs. *)
+   gated).  The append maintains the dense index incrementally; a third
+   gate compares every row of it with a fresh build of the same view, and
+   the fresh build is timed beside the append.  Prices what a cache hit
+   saves and what an epoch transition costs. *)
 let run_epoch_bench ~jobs =
   Workload.Report.headline "B12 - mutate-then-requery (epochs and the result cache)";
   let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("B12 FAILED: " ^ m); exit 1) fmt in
@@ -676,6 +679,27 @@ let run_epoch_bench ~jobs =
   let _, append_ms =
     Workload.Harness.time (fun () -> Engine.Service.run_batch svc ~dataset:ds mutate_specs)
   in
+  (* The append maintained the dense index incrementally; it must hold
+     exactly the rows a fresh build of the same view computes.  The
+     fresh build's time is what the append would cost as a rebuild. *)
+  let idx1 = Engine.Registry.index ds in
+  let ps1 = Geometry.Pointset.index_pointset idx1 in
+  let fresh, rebuild_ms =
+    Workload.Harness.time (fun () -> Geometry.Pointset.build_index ~domains:jobs ps1)
+  in
+  let n1 = Geometry.Pointset.n ps1 in
+  let append_identical =
+    Geometry.Pointset.index_is_dense idx1
+    && Seq.for_all
+         (fun i ->
+           Seq.for_all
+             (fun k ->
+               Float.equal
+                 (Geometry.Pointset.kth_neighbor_distance idx1 ~k i)
+                 (Geometry.Pointset.kth_neighbor_distance fresh ~k i))
+             (Seq.init n1 succ))
+         (Seq.init n1 Fun.id)
+  in
   let requery, requery_ms = run () in
   let requery_spent = spent () in
   (* The gates: a hit is free and exact; a new epoch is neither. *)
@@ -697,6 +721,7 @@ let run_epoch_bench ~jobs =
       [ "cold batch"; Printf.sprintf "%.1f ms" cold_ms; Workload.Report.f2 cold_spent ];
       [ "cached re-run"; Printf.sprintf "%.2f ms" warm_ms; Workload.Report.f2 warm_spent ];
       [ "append (epoch 0 -> 1)"; Printf.sprintf "%.1f ms" append_ms; Workload.Report.f2 warm_spent ];
+      [ "fresh build of epoch 1"; Printf.sprintf "%.1f ms" rebuild_ms; "-" ];
       [ "re-query on epoch 1"; Printf.sprintf "%.1f ms" requery_ms; Workload.Report.f2 requery_spent ];
     ];
   Workload.Report.kv "cache-hit speedup" (Printf.sprintf "%.0fx" speedup);
@@ -704,9 +729,19 @@ let run_epoch_bench ~jobs =
     (if hits_free then "yes" else "NO (cache charged the ledger)");
   Workload.Report.kv "new epoch recomputed and paid"
     (if recomputed then "yes" else "NO (stale answer served across a mutation)");
+  Workload.Report.kv "appended index = fresh build, row for row"
+    (if append_identical then "yes" else "NO (incremental dense maintenance diverged)");
   if not hits_free then fail "a cache hit executed or charged";
   if not recomputed then fail "a post-mutation query was not recomputed";
-  (n_jobs, cold_ms, warm_ms, append_ms, requery_ms, speedup, hits_free && recomputed)
+  if not append_identical then fail "the appended dense index differs from a fresh build";
+  ( n_jobs,
+    cold_ms,
+    warm_ms,
+    append_ms,
+    rebuild_ms,
+    requery_ms,
+    speedup,
+    hits_free && recomputed && append_identical )
 
 (* B13 — the kernel layer (lib/kernel).  Three gates: (a) the C fast
    paths must agree bit-for-bit with the pure-OCaml references they
@@ -1152,13 +1187,14 @@ let json_of_results ~meta ~fx_n ~fx_d ~timing ~engine ~alloc ~b10 ~b11 ~b12 ~b13
   let b12_json =
     match b12 with
     | None -> Null
-    | Some (n_jobs, cold_ms, warm_ms, append_ms, requery_ms, speedup, gates_pass) ->
+    | Some (n_jobs, cold_ms, warm_ms, append_ms, rebuild_ms, requery_ms, speedup, gates_pass) ->
         Obj
           [
             ("jobs", Int n_jobs);
             ("cold_ms", Float cold_ms);
             ("cached_rerun_ms", Float warm_ms);
             ("append_ms", Float append_ms);
+            ("fresh_build_ms", Float rebuild_ms);
             ("requery_ms", Float requery_ms);
             ("cache_hit_speedup", Float speedup);
             ("cache_hits_charged_zero", Bool gates_pass);

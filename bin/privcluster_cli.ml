@@ -195,7 +195,8 @@ let batch_cmd =
                              |> List.filter (fun t -> t <> "")
                              |> List.map (fun t ->
                                     match float_of_string_opt t with
-                                    | Some f -> f
+                                    | Some f when Float.is_finite f -> f
+                                    | Some _ -> die "%s: line %d: not a finite number: %S" file lineno t
                                     | None -> die "%s: line %d: not a number: %S" file lineno t)
                              |> Array.of_list ))
             with Sys_error e -> die "%s" e

@@ -5,17 +5,17 @@
    the live rows plus the index built on them.  [append] writes new rows
    past the high-water mark (invisible to live views) and publishes a new
    epoch; [retire] drops a contiguous range of point indices.  Old epochs
-   keep working through structural sharing — their views and trees hold a
-   reference to whatever array backed them.
+   keep working through structural sharing — their views and indexes hold
+   a reference to whatever arrays backed them.
 
-   Index maintenance is incremental on the k-d-tree backend: appended rows
-   are routed into existing leaves ([Kdtree.insert_bulk]) and retired rows
-   masked out ([Kdtree.remove_bulk]); once accumulated drift exceeds half
-   the size the tree was last built at, the next mutation rebuilds from
-   scratch.  Count-based queries — the only kind the pipeline issues — are
-   bit-identical either way.  The dense backend is recomputed per epoch
-   (it is only chosen for small n, where the O(n²) rebuild is the same
-   cost a fresh registration would pay).
+   Each epoch's index is derived from the previous one by
+   [Pointset.append_index] / [Pointset.retire_index]: dense rows are
+   merged with (or stripped of) the changed points' sorted distances,
+   k-d trees take bulk inserts and removals until drift forces a rebuild,
+   and a dense index an append takes past the dense threshold becomes a
+   tree.  Every query is bit-identical to one on a fresh registration of
+   the same points.  The registry only passes its threshold and domain
+   count through; the backend decision lives in [Pointset].
 
    The r_opt-bounds cache lives inside the epoch state, so a mutation
    invalidates it wholesale: a new epoch starts with an empty table. *)
@@ -25,8 +25,6 @@ type epoch_state = {
   pointset : Geometry.Pointset.t;
   index : Geometry.Pointset.index;
   bounds : (int, float * float) Hashtbl.t;
-  tree_base : int;  (** size at the last full (re)build of a tree index *)
-  drift : int;  (** rows inserted/removed incrementally since then *)
 }
 
 type mutation =
@@ -55,15 +53,7 @@ let create () = { datasets = [] }
 let find t name = List.find_opt (fun d -> d.name = name) t.datasets
 let names t = List.rev_map (fun d -> d.name) t.datasets
 
-let fresh_epoch ~epoch ps index =
-  {
-    epoch;
-    pointset = ps;
-    index;
-    bounds = Hashtbl.create 8;
-    tree_base = Geometry.Pointset.n ps;
-    drift = 0;
-  }
+let fresh_epoch ~epoch ps index = { epoch; pointset = ps; index; bounds = Hashtbl.create 8 }
 
 let register t ~name ~grid ?mode ~budget ?dense_threshold ?index_domains points =
   if find t name <> None then
@@ -102,11 +92,6 @@ let subscribe_mutations d f = d.mutation_listeners <- f :: d.mutation_listeners
 
 let notify d mutation = List.iter (fun f -> f mutation) (List.rev d.mutation_listeners)
 
-let reindex d ps =
-  Geometry.Pointset.auto_index ?dense_threshold:d.dense_threshold ?domains:d.index_domains ps
-
-let rebuild_threshold base = max 64 (base / 2)
-
 (* Grow the arena so [extra] more elements fit past the high-water mark.
    Live epochs keep referencing the array that backed them; only the new
    epoch reads through the grown copy. *)
@@ -120,19 +105,41 @@ let ensure_capacity d ~extra =
     d.arena <- arena
   end
 
+(* Run one mutation under the dataset lock inside a [registry.<op>] span
+   carrying the old size, the rows changed, and the backend and path
+   the index maintenance took. *)
+let mutate d op ~k f =
+  Mutex.lock d.mu;
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock d.mu)
+    (fun () ->
+      Obs.Span.with_span ~cat:"index" ("registry." ^ op)
+        ~attrs:(fun () -> [ ("n", Obs.Span.I (n d)); ("k", Obs.Span.I k) ])
+      @@ fun () ->
+      let ps', (index, path), mutation = f d.current in
+      let epoch' = d.current.epoch + 1 in
+      Obs.Span.set_attr "backend"
+        (Obs.Span.S (if Geometry.Pointset.index_is_dense index then "dense" else "kdtree"));
+      Obs.Span.set_attr "path"
+        (Obs.Span.S
+           (match path with
+           | Geometry.Pointset.Incremental -> "incremental"
+           | Geometry.Pointset.Rebuilt -> "rebuild"));
+      d.current <- fresh_epoch ~epoch:epoch' ps' index;
+      notify d (mutation epoch');
+      epoch')
+
 let append d points =
   let k = Array.length points in
   if k = 0 then invalid_arg "Registry.append: empty";
   let ps_dim = dim d in
   Array.iter
     (fun p ->
-      if Geometry.Vec.dim p <> ps_dim then invalid_arg "Registry.append: dimension mismatch")
+      if Geometry.Vec.dim p <> ps_dim then invalid_arg "Registry.append: dimension mismatch";
+      if not (Array.for_all Float.is_finite p) then
+        invalid_arg "Registry.append: non-finite coordinate")
     points;
-  Mutex.lock d.mu;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock d.mu)
-    (fun () ->
-      let cur = d.current in
+  mutate d "append" ~k (fun cur ->
       ensure_capacity d ~extra:(k * ps_dim);
       let new_offs = Array.init k (fun i -> d.used + (i * ps_dim)) in
       Array.iteri (fun i p -> Geometry.Vec.set_row d.arena ~off:new_offs.(i) p) points;
@@ -140,40 +147,13 @@ let append d points =
       d.used <- d.used + (k * ps_dim);
       let offs' = Array.append (Geometry.Pointset.row_offsets cur.pointset) new_offs in
       let ps' = Geometry.Pointset.view ~storage:d.arena ~offs:offs' ~dim:ps_dim in
-      let epoch' = cur.epoch + 1 in
-      let state =
-        match Geometry.Pointset.index_tree cur.index with
-        | None -> fresh_epoch ~epoch:epoch' ps' (reindex d ps')
-        | Some tree ->
-            let drift = cur.drift + k in
-            if drift > rebuild_threshold cur.tree_base then
-              fresh_epoch ~epoch:epoch' ps' (reindex d ps')
-            else begin
-              let tree =
-                Geometry.Kdtree.insert_bulk
-                  (Geometry.Kdtree.with_storage tree ~storage:d.arena)
-                  ~offs:new_offs
-              in
-              {
-                epoch = epoch';
-                pointset = ps';
-                index = Geometry.Pointset.index_of_tree ps' tree;
-                bounds = Hashtbl.create 8;
-                tree_base = cur.tree_base;
-                drift;
-              }
-            end
-      in
-      d.current <- state;
-      notify d (Appended { epoch = epoch'; dim = ps_dim; points = flat });
-      epoch')
+      ( ps',
+        Geometry.Pointset.append_index ?dense_threshold:d.dense_threshold
+          ?domains:d.index_domains cur.index ps',
+        fun epoch -> Appended { epoch; dim = ps_dim; points = flat } ))
 
 let retire d ~from_ ~count =
-  Mutex.lock d.mu;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock d.mu)
-    (fun () ->
-      let cur = d.current in
+  mutate d "retire" ~k:count (fun cur ->
       let total = Geometry.Pointset.n cur.pointset in
       if from_ < 0 || count < 1 || from_ + count > total then
         invalid_arg "Registry.retire: range out of bounds";
@@ -186,37 +166,10 @@ let retire d ~from_ ~count =
         Geometry.Pointset.view ~storage:d.arena ~offs:offs'
           ~dim:(Geometry.Pointset.dim cur.pointset)
       in
-      let epoch' = cur.epoch + 1 in
-      let state =
-        match Geometry.Pointset.index_tree cur.index with
-        | None -> fresh_epoch ~epoch:epoch' ps' (reindex d ps')
-        | Some tree ->
-            let drift = cur.drift + count in
-            if drift > rebuild_threshold cur.tree_base then
-              fresh_epoch ~epoch:epoch' ps' (reindex d ps')
-            else begin
-              let dead = Hashtbl.create count in
-              for i = from_ to from_ + count - 1 do
-                Hashtbl.replace dead offs.(i) ()
-              done;
-              let tree =
-                Geometry.Kdtree.remove_bulk
-                  (Geometry.Kdtree.with_storage tree ~storage:d.arena)
-                  ~dead:(Hashtbl.mem dead)
-              in
-              {
-                epoch = epoch';
-                pointset = ps';
-                index = Geometry.Pointset.index_of_tree ps' tree;
-                bounds = Hashtbl.create 8;
-                tree_base = cur.tree_base;
-                drift;
-              }
-            end
-      in
-      d.current <- state;
-      notify d (Retired { epoch = epoch'; from_; count });
-      epoch')
+      ( ps',
+        Geometry.Pointset.retire_index ?dense_threshold:d.dense_threshold
+          ?domains:d.index_domains cur.index ps' ~from_ ~count,
+        fun epoch -> Retired { epoch; from_; count } ))
 
 let r_opt_bounds d ~t =
   Mutex.lock d.mu;

@@ -11,10 +11,16 @@
     (pointset view + index + r_opt-bounds cache) over the dataset's
     append-only arena.  Readers holding the previous epoch keep computing
     against it unchanged (structural sharing); new work sees the new
-    epoch.  On the k-d-tree backend the index is maintained incrementally
-    ({!Geometry.Kdtree.insert_bulk} / [remove_bulk]) with a full rebuild
-    once accumulated drift exceeds half the last-built size; count-based
-    query results are bit-identical to a fresh build either way.  The
+    epoch.  Each epoch's index is derived from the previous one by
+    {!Geometry.Pointset.append_index} / {!Geometry.Pointset.retire_index}:
+    dense rows are merged with (or stripped of) the changed points' sorted
+    distances, k-d trees take bulk inserts and removals until drift forces
+    a rebuild, and a dense index an append takes past the dense threshold
+    becomes a tree.  Every query result is bit-identical to a fresh
+    registration of the same points.  Each mutation runs in a
+    [registry.append] / [registry.retire] span (category ["index"]) with
+    attributes [n], [k], [backend] and [path] ([incremental] or
+    [rebuild]).  The
     [(r_lo, r_hi)] sandwich of {!Workload.Metrics.r_opt_bounds_indexed}
     is cached per epoch, keyed by the target [t] — a mutation invalidates
     it wholesale.
@@ -53,9 +59,10 @@ val register :
     epoch 0.  The points are packed once into flat storage, which becomes
     the dataset's arena; every job then reads that storage through
     zero-copy views.  [index_domains > 1] parallelizes the dense-index
-    construction (the result is identical for any value).
-    @raise Invalid_argument on a duplicate name, an empty point array, or
-    points of mixed dimension. *)
+    construction and its maintenance across epochs (the result is
+    identical for any value).
+    @raise Invalid_argument on a duplicate name, an empty point array,
+    points of mixed dimension, or a non-finite coordinate. *)
 
 val find : t -> string -> dataset option
 val names : t -> string list
@@ -67,7 +74,8 @@ val append : dataset -> Geometry.Vec.t array -> int
 (** Append the points after the existing ones and publish a new epoch;
     returns the new epoch number.  The arena grows by doubling when full;
     live epochs keep referencing the array that backed them.
-    @raise Invalid_argument on an empty array or a dimension mismatch. *)
+    @raise Invalid_argument on an empty array, a dimension mismatch, or
+    a non-finite coordinate. *)
 
 val retire : dataset -> from_:int -> count:int -> int
 (** Drop the contiguous point-index range [from_ .. from_+count-1] of the

@@ -14,7 +14,10 @@ let create points =
   if count = 0 then invalid_arg "Pointset.create: empty";
   let dim = Vec.dim points.(0) in
   Array.iter
-    (fun p -> if Vec.dim p <> dim then invalid_arg "Pointset.create: mixed dimensions")
+    (fun p ->
+      if Vec.dim p <> dim then invalid_arg "Pointset.create: mixed dimensions";
+      if not (Array.for_all Float.is_finite p) then
+        invalid_arg "Pointset.create: non-finite coordinate")
     points;
   let st = Array.make (count * dim) 0. in
   Array.iteri (fun i p -> Vec.set_row st ~off:(i * dim) p) points;
@@ -104,7 +107,9 @@ let score_l_direct t ~cap ~radius =
 
 type backend =
   | Dense of float array array  (** per-point sorted distance rows *)
-  | Tree of Kdtree.t
+  | Tree of { tree : Kdtree.t; base : int; drift : int }
+      (** [base]: size at the last full build; [drift]: rows inserted or
+          removed incrementally since then. *)
 
 type index = { ps : t; backend : backend }
 
@@ -119,41 +124,147 @@ let dense_row ps i =
   Kernel.sort_floats row;
   row
 
-let build_index ?(domains = 1) ps =
-  let count = n ps in
-  let rows = Array.make count [||] in
-  let fill lo hi =
-    for i = lo to hi - 1 do
-      rows.(i) <- dense_row ps i
-    done
-  in
+(* Rows are independent; [fill lo hi] builds rows [lo, hi) and each domain
+   takes one contiguous chunk, so the result (and every downstream query)
+   is identical for any [domains]. *)
+let fill_rows ~domains count fill =
   let domains = max 1 (min domains count) in
   if domains <= 1 then fill 0 count
   else begin
-    (* Rows are independent; each domain fills a contiguous chunk, so the
-       result (and every downstream query) is identical for any [domains]. *)
     let chunk = (count + domains - 1) / domains in
     List.init domains (fun k ->
         let lo = k * chunk and hi = min count ((k + 1) * chunk) in
         Domain.spawn (fun () -> fill lo hi))
     |> List.iter Domain.join
-  end;
+  end
+
+let build_index ?(domains = 1) ps =
+  let count = n ps in
+  let rows = Array.make count [||] in
+  fill_rows ~domains count (fun lo hi ->
+      for i = lo to hi - 1 do
+        rows.(i) <- dense_row ps i
+      done);
   { ps; backend = Dense rows }
 
 let build_tree_index ?domains ps =
-  { ps; backend = Tree (Kdtree.build_flat ?domains ~storage:ps.st ~offs:ps.offs ~dim:ps.dim ()) }
+  let tree = Kdtree.build_flat ?domains ~storage:ps.st ~offs:ps.offs ~dim:ps.dim () in
+  { ps; backend = Tree { tree; base = n ps; drift = 0 } }
 
-let auto_index ?(dense_threshold = 4096) ?domains ps =
+let default_dense_threshold = 4096
+
+let auto_index ?(dense_threshold = default_dense_threshold) ?domains ps =
   if n ps <= dense_threshold then build_index ?domains ps else build_tree_index ?domains ps
+
+(* Index maintenance across epochs (see the interface).  Dense rows stay
+   bit-identical to a fresh [build_index] because every entry is
+   [Kernel.dists_to_rows] on the same ordered pair (q = the row's own
+   point) over the same coordinates, and distances are never NaN or -0.0
+   (coordinates are finite): equal values are equal bits, so an ascending
+   row is the unique arrangement of its multiset, whichever way it was
+   assembled.  Both paths only read the previous index. *)
+
+type maintenance = Incremental | Rebuilt
+
+let rebuild_threshold base = max 64 (base / 2)
+
+let merge_sorted (a : float array) (b : float array) =
+  let la = Array.length a and lb = Array.length b in
+  let out = Array.create_float (la + lb) in
+  let i = ref 0 and j = ref 0 in
+  for o = 0 to la + lb - 1 do
+    if !j >= lb || (!i < la && Array.unsafe_get a !i <= Array.unsafe_get b !j) then begin
+      Array.unsafe_set out o (Array.unsafe_get a !i);
+      incr i
+    end
+    else begin
+      Array.unsafe_set out o (Array.unsafe_get b !j);
+      incr j
+    end
+  done;
+  out
+
+(* [row] minus the multiset [drop] (both ascending), in one pass.  Fails
+   unless every entry of [drop] was found: that would mean the index does
+   not hold the distances it claims to. *)
+let remove_sorted (row : float array) (drop : float array) =
+  let len = Array.length row and ld = Array.length drop in
+  let keep = len - ld in
+  let missing () = failwith "Pointset.retire_index: retired distance missing from its row" in
+  let out = Array.create_float keep in
+  let j = ref 0 and o = ref 0 in
+  for p = 0 to len - 1 do
+    let v = Array.unsafe_get row p in
+    if !j < ld && v = Array.unsafe_get drop !j then incr j
+    else begin
+      if !o = keep then missing ();
+      Array.unsafe_set out !o v;
+      incr o
+    end
+  done;
+  if !j <> ld then missing ();
+  out
+
+let append_index ?(dense_threshold = default_dense_threshold) ?(domains = 1) idx ps' =
+  let old_n = n idx.ps and count = n ps' in
+  if ps'.dim <> idx.ps.dim then invalid_arg "Pointset.append_index: dimension mismatch";
+  if count <= old_n then invalid_arg "Pointset.append_index: no rows appended";
+  let k = count - old_n in
+  let new_offs = Array.sub ps'.offs old_n k in
+  match idx.backend with
+  | Dense rows when count <= dense_threshold ->
+      let rows' = Array.make count [||] in
+      fill_rows ~domains count (fun lo hi ->
+          let fresh = Array.create_float k in
+          for i = lo to hi - 1 do
+            if i < old_n then begin
+              Kernel.dists_to_rows ~st:ps'.st ~offs:new_offs ~n:k ~q:ps'.st
+                ~qoff:ps'.offs.(i) ~dim:ps'.dim ~out:fresh;
+              Kernel.sort_floats fresh;
+              rows'.(i) <- merge_sorted rows.(i) fresh
+            end
+            else rows'.(i) <- dense_row ps' i
+          done);
+      ({ ps = ps'; backend = Dense rows' }, Incremental)
+  | Tree { tree; base; drift } when drift + k <= rebuild_threshold base ->
+      let tree = Kdtree.insert_bulk (Kdtree.with_storage tree ~storage:ps'.st) ~offs:new_offs in
+      ({ ps = ps'; backend = Tree { tree; base; drift = drift + k } }, Incremental)
+  | Dense _ | Tree _ -> (auto_index ~dense_threshold ~domains ps', Rebuilt)
+
+let retire_index ?(dense_threshold = default_dense_threshold) ?(domains = 1) idx ps' ~from_ ~count =
+  let old = idx.ps in
+  let old_n = n old in
+  let count' = old_n - count in
+  if ps'.dim <> old.dim then invalid_arg "Pointset.retire_index: dimension mismatch";
+  if from_ < 0 || count < 1 || from_ + count > old_n || n ps' <> count' then
+    invalid_arg "Pointset.retire_index: range does not match the new view";
+  match idx.backend with
+  | Dense rows when count' <= dense_threshold ->
+      let dead_offs = Array.sub old.offs from_ count in
+      let rows' = Array.make count' [||] in
+      fill_rows ~domains count' (fun lo hi ->
+          let dead = Array.create_float count in
+          for i' = lo to hi - 1 do
+            let i = if i' < from_ then i' else i' + count in
+            Kernel.dists_to_rows ~st:old.st ~offs:dead_offs ~n:count ~q:old.st
+              ~qoff:old.offs.(i) ~dim:old.dim ~out:dead;
+            Kernel.sort_floats dead;
+            rows'.(i') <- remove_sorted rows.(i) dead
+          done);
+      ({ ps = ps'; backend = Dense rows' }, Incremental)
+  | Tree { tree; base; drift } when drift + count <= rebuild_threshold base ->
+      let dead = Hashtbl.create count in
+      for i = from_ to from_ + count - 1 do
+        Hashtbl.replace dead old.offs.(i) ()
+      done;
+      let tree =
+        Kdtree.remove_bulk (Kdtree.with_storage tree ~storage:ps'.st) ~dead:(Hashtbl.mem dead)
+      in
+      ({ ps = ps'; backend = Tree { tree; base; drift = drift + count } }, Incremental)
+  | Dense _ | Tree _ -> (auto_index ~dense_threshold ~domains ps', Rebuilt)
 
 let index_is_dense idx = match idx.backend with Dense _ -> true | Tree _ -> false
 let index_pointset idx = idx.ps
-let index_tree idx = match idx.backend with Tree t -> Some t | Dense _ -> None
-
-let index_of_tree ps tree =
-  if Kdtree.size tree <> n ps then
-    invalid_arg "Pointset.index_of_tree: tree size does not match the pointset";
-  { ps; backend = Tree tree }
 
 (* Number of entries in the sorted row that are <= radius. *)
 let count_row row radius =
@@ -174,7 +285,7 @@ let counts_within idx ~radius =
   else
     match idx.backend with
     | Dense rows -> Array.map (fun row -> count_row row radius) rows
-    | Tree tree -> Kdtree.counts_within_rows tree idx.ps.st ~offs:idx.ps.offs ~radius
+    | Tree { tree; _ } -> Kdtree.counts_within_rows tree idx.ps.st ~offs:idx.ps.offs ~radius
 
 let score_l idx ~cap ~radius =
   if radius < 0. then 0.
@@ -226,7 +337,7 @@ let score_l_many idx ~cap ~radii =
             Kernel.counts_le_sorted ~row ~len:(Array.length row) ~radii:rblock ~nr:bnr
               ~out:counts ~stride:count ~col:i
           done
-      | Tree tree ->
+      | Tree { tree; _ } ->
           for i = 0 to count - 1 do
             Kdtree.count_within_row_many tree idx.ps.st ~off:idx.ps.offs.(i)
               ~radii:rblock ~out:counts ~stride:count ~col:i
@@ -243,7 +354,7 @@ let kth_neighbor_distance idx ~k i =
   if k <= 0 || k > n idx.ps then invalid_arg "Pointset.kth_neighbor_distance: bad k";
   match idx.backend with
   | Dense rows -> rows.(i).(k - 1)
-  | Tree tree ->
+  | Tree { tree; _ } ->
       (* The count around x_i is a step function of the radius jumping past
          k exactly at the k-th neighbor distance; bisect that jump. *)
       let ps = idx.ps in

@@ -30,7 +30,8 @@ type t
 
 val create : Vec.t array -> t
 (** Packs the boxed points into fresh flat storage.
-    @raise Invalid_argument on an empty array or mixed dimensions. *)
+    @raise Invalid_argument on an empty array, mixed dimensions, or a
+    non-finite (NaN or infinite) coordinate. *)
 
 val of_storage : dim:int -> float array -> t
 (** Adopts an existing row-major store of length n·d (not copied; the
@@ -123,20 +124,54 @@ val build_tree_index : ?domains:int -> t -> index
 val auto_index : ?dense_threshold:int -> ?domains:int -> t -> index
 (** Dense when [n <= dense_threshold] (default 4096), tree otherwise. *)
 
+(** {2 Maintenance across epochs}
+
+    The epoch-versioned registry derives each epoch's index from the
+    previous one instead of building it afresh.  Both functions only read
+    the old index — it keeps answering unchanged — and return the new
+    index with the path taken.  Every query on the result is
+    bit-identical to one on [auto_index ?dense_threshold ps'].
+
+    - {b Dense, incremental}: each surviving row gets its distances to
+      the appended (or retired) points computed with the same kernel, in
+      the same orientation, as a fresh build, sorted, and merged into (or
+      removed by exact equality from) a new copy of the row; appended
+      points get a fresh row.  O(n·k·d + n·k log k + n·n') instead of
+      O(n'²·d + n'² log n').  Rows equal a fresh {!build_index} exactly:
+      distances are never NaN or -0.0 (coordinates are finite), so a
+      sorted row is the unique arrangement of its multiset.
+    - {b Tree, incremental}: {!Kdtree.insert_bulk} / {!Kdtree.remove_bulk}
+      while the rows inserted or removed since the last full build stay
+      within half that build's size (at least 64).
+    - {b Rebuilt}: otherwise {!auto_index} on [ps'] — so a dense index an
+      append takes past [dense_threshold] becomes a tree, and a drifted
+      tree is rebuilt (dense again if [ps'] is small enough).
+
+    [domains] splits the dense rows (or a rebuild) across OCaml domains
+    exactly as {!build_index} does; the result is identical for any
+    value. *)
+
+type maintenance = Incremental | Rebuilt
+
+val append_index :
+  ?dense_threshold:int -> ?domains:int -> index -> t -> index * maintenance
+(** [append_index idx ps'] — [ps'] must be [index_pointset idx]'s rows
+    (same values, possibly in grown storage) followed by the appended
+    rows.
+    @raise Invalid_argument if [ps'] is not larger or has another
+    dimension. *)
+
+val retire_index :
+  ?dense_threshold:int -> ?domains:int -> index -> t -> from_:int -> count:int ->
+  index * maintenance
+(** [retire_index idx ps' ~from_ ~count] — [ps'] must be
+    [index_pointset idx] without rows [from_ .. from_+count-1].
+    @raise Invalid_argument if the range is out of bounds or [ps'] has
+    the wrong size or dimension. *)
+
 val index_is_dense : index -> bool
 
 val index_pointset : index -> t
-
-val index_tree : index -> Kdtree.t option
-(** The k-d tree behind a tree-backed index ([None] on the dense backend)
-    — the registry reads it to maintain the tree incrementally across
-    epochs. *)
-
-val index_of_tree : t -> Kdtree.t -> index
-(** Wrap an externally maintained tree (see {!Kdtree.insert_bulk} /
-    {!Kdtree.remove_bulk}) as the index of [ps].  The tree must hold
-    exactly [ps]'s points (same storage, same rows).
-    @raise Invalid_argument if the sizes disagree. *)
 
 val counts_within : index -> radius:float -> int array
 (** For every input point, the number of input points within [radius]

@@ -211,7 +211,8 @@ let record_of_payload payload =
             (fun acc tok ->
               let* acc = acc in
               match float_of_string_opt tok with
-              | Some f -> Ok (f :: acc)
+              | Some f when Float.is_finite f -> Ok (f :: acc)
+              | Some _ -> Error (Printf.sprintf "record append: %S is not a finite number" tok)
               | None -> Error (Printf.sprintf "record append: %S is not a hex float" tok))
             (Ok []) toks
           |> Result.map (fun l -> Array.of_list (List.rev l))

@@ -9,6 +9,12 @@ let p ~eps ~delta = { Prim.Dp.eps; delta }
 
 (* --- registry epochs ----------------------------------------------------- *)
 
+(* Every sorted distance row of a dense index, entry by entry. *)
+let dense_rows idx =
+  let n = Geometry.Pointset.n (Geometry.Pointset.index_pointset idx) in
+  Array.init n (fun i ->
+      Array.init n (fun k -> Geometry.Pointset.kth_neighbor_distance idx ~k:(k + 1) i))
+
 let test_epoch_versioning () =
   let _, grid, w = small_workload () in
   let base = Array.sub w.Workload.Synth.points 0 200 in
@@ -22,6 +28,7 @@ let test_epoch_versioning () =
      must stay valid and answer exactly as before. *)
   let idx0 = Engine.Registry.index ds in
   let counts0 = Geometry.Pointset.counts_within idx0 ~radius:0.1 in
+  let rows0 = dense_rows idx0 in
   let e1 = Engine.Registry.append ds extra in
   check_int "append publishes epoch 1" 1 e1;
   check_int "append grows n" 250 (Engine.Registry.n ds);
@@ -33,6 +40,7 @@ let test_epoch_versioning () =
     (Geometry.Pointset.counts_within idx0 ~radius:0.1 = counts0);
   check_int "old epoch view keeps its size" 200
     (Geometry.Pointset.n (Geometry.Pointset.index_pointset idx0));
+  check_true "old epoch's full dense rows unchanged" (dense_rows idx0 = rows0);
   (* Invalid mutations change nothing. *)
   (try
      ignore (Engine.Registry.retire ds ~from_:0 ~count:220);
@@ -43,6 +51,34 @@ let test_epoch_versioning () =
      Alcotest.fail "empty append must be refused"
    with Invalid_argument _ -> ());
   check_int "failed mutations publish no epoch" 2 (Engine.Registry.epoch ds)
+
+let test_non_finite_refused () =
+  let _, grid, w = small_workload () in
+  let base = Array.sub w.Workload.Synth.points 0 50 in
+  let reg = Engine.Registry.create () in
+  List.iter
+    (fun x ->
+      let bad = [| [| 0.5; x |] |] in
+      (try
+         ignore
+           (Engine.Registry.register reg ~name:"bad" ~grid ~budget:(p ~eps:1. ~delta:1e-6)
+              (Array.append base bad));
+         Alcotest.failf "registering a %h coordinate must be refused" x
+       with Invalid_argument _ -> ());
+      check_true "refused registration files nothing" (Engine.Registry.find reg "bad" = None);
+      let ds =
+        match Engine.Registry.find reg "d" with
+        | Some ds -> ds
+        | None ->
+            Engine.Registry.register reg ~name:"d" ~grid ~budget:(p ~eps:1. ~delta:1e-6) base
+      in
+      (try
+         ignore (Engine.Registry.append ds (Array.append (Array.sub base 0 3) bad));
+         Alcotest.failf "appending a %h coordinate must be refused" x
+       with Invalid_argument _ -> ());
+      check_int "refused append publishes no epoch" 0 (Engine.Registry.epoch ds);
+      check_int "refused append adds no rows" 50 (Engine.Registry.n ds))
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
 
 let test_mutation_invalidates_bounds_cache () =
   let _, grid, w = small_workload () in
@@ -66,17 +102,33 @@ let test_mutation_invalidates_bounds_cache () =
 
 (* --- differential: any append/retire sequence ≡ fresh registration ------- *)
 
+(* The backend the registry must end up with: a dense index is rebuilt
+   (dense again, or a tree once past the threshold) on every mutation's
+   terms; a tree takes incremental updates until the rows changed since
+   its last build exceed max(64, base/2), then is rebuilt the same way. *)
+type model_backend = Model_dense | Model_tree of { base : int; drift : int }
+
+let model_step ~dense_threshold backend ~n ~k =
+  let rebuilt = if n <= dense_threshold then Model_dense else Model_tree { base = n; drift = 0 } in
+  match backend with
+  | Model_tree { base; drift } when drift + k <= max 64 (base / 2) ->
+      Model_tree { base; drift = drift + k }
+  | Model_dense | Model_tree _ -> rebuilt
+
 (* Interpret a list of small ints as a mutation program over a model
    point array, applying each op to the registry dataset and the model in
    lockstep.  Appends draw from a fixed pool so both sides see the same
    rows. *)
-let apply_ops ~dense_threshold ~grid ~base ~pool ops =
+let apply_ops ~dense_threshold ~index_domains ~grid ~base ~pool ops =
   let reg = Engine.Registry.create () in
   let ds =
     Engine.Registry.register reg ~name:"d" ~grid ~budget:(p ~eps:10. ~delta:1e-4)
-      ~dense_threshold base
+      ~dense_threshold ~index_domains base
   in
   let model = ref (Array.copy base) in
+  let backend =
+    ref (model_step ~dense_threshold Model_dense ~n:(Array.length base) ~k:0)
+  in
   let pos = ref 0 in
   let applied = ref 0 in
   List.iter
@@ -91,6 +143,7 @@ let apply_ops ~dense_threshold ~grid ~base ~pool ops =
         pos := !pos + k;
         ignore (Engine.Registry.append ds chunk);
         model := Array.append !model chunk;
+        backend := model_step ~dense_threshold !backend ~n:(n + k) ~k;
         incr applied
       end
       else begin
@@ -101,11 +154,12 @@ let apply_ops ~dense_threshold ~grid ~base ~pool ops =
           model :=
             Array.append (Array.sub !model 0 from_)
               (Array.sub !model (from_ + count) (n - from_ - count));
+          backend := model_step ~dense_threshold !backend ~n:(n - count) ~k:count;
           incr applied
         end
       end)
     ops;
-  (ds, !model, !applied)
+  (ds, !model, !backend = Model_dense, !applied)
 
 let same_answers what a b =
   let n = Geometry.Pointset.n (Geometry.Pointset.index_pointset a) in
@@ -118,45 +172,61 @@ let same_answers what a b =
   check_float ~tol:0. (what ^ ": score_l bit-identical")
     (Geometry.Pointset.score_l a ~cap:20 ~radius:0.08)
     (Geometry.Pointset.score_l b ~cap:20 ~radius:0.08);
-  let k = min 5 (n - 1) in
-  if k >= 1 then
-    List.iter
-      (fun i ->
-        if i < n then
-          check_float ~tol:0.
-            (Printf.sprintf "%s: kth_neighbor_distance(%d) bit-identical" what i)
-            (Geometry.Pointset.kth_neighbor_distance a ~k i)
-            (Geometry.Pointset.kth_neighbor_distance b ~k i))
-      [ 0; n / 2; n - 1 ]
+  match (Geometry.Pointset.index_is_dense a, Geometry.Pointset.index_is_dense b) with
+  | true, true -> check_true (what ^ ": every dense row bit-identical") (dense_rows a = dense_rows b)
+  | false, false ->
+      (* The tree bisects the k-th neighbor distance: exact per backend,
+         so only comparable between two trees. *)
+      let k = min 5 (n - 1) in
+      if k >= 1 then
+        List.iter
+          (fun i ->
+            check_float ~tol:0.
+              (Printf.sprintf "%s: kth_neighbor_distance(%d) bit-identical" what i)
+              (Geometry.Pointset.kth_neighbor_distance a ~k i)
+              (Geometry.Pointset.kth_neighbor_distance b ~k i))
+          [ 0; n / 2; n - 1 ]
+  | _ -> ()
 
 let test_epoch_differential =
   let _, grid, w = small_workload () in
-  let base = Array.sub w.Workload.Synth.points 0 40 in
-  let pool = Array.sub w.Workload.Synth.points 40 200 in
+  let pts = w.Workload.Synth.points in
+  let base = Array.sub pts 0 40 in
+  (* Duplicates on purpose: some pool rows repeat a base row, others their
+     predecessor, so ties and zero distances are merged into and removed
+     from the dense rows. *)
+  let pool = Array.make 200 [||] in
+  for j = 0 to 199 do
+    pool.(j) <-
+      (if j mod 4 = 3 then pool.(j - 1) else if j mod 3 = 2 then base.(j mod 40) else pts.(40 + j))
+  done;
   qcheck ~count:30 "any append/retire sequence ≡ fresh registration"
     QCheck2.Gen.(list_size (int_bound 10) (int_bound 4096))
     (fun ops ->
-      (* Forced k-d tree on both sides: incremental insert/remove (plus
-         occasional rebuilds) against a from-scratch build. *)
+      (* Forced k-d tree, a threshold the appends cross (dense, then a
+         tree), and forced dense; each with serial and 3-domain index
+         maintenance, against a from-scratch registration. *)
       List.iter
-        (fun dense_threshold ->
-          let ds, model, applied =
-            apply_ops ~dense_threshold ~grid ~base ~pool ops
-          in
-          Alcotest.(check int)
-            "each applied op bumps the epoch" applied (Engine.Registry.epoch ds);
-          let fresh = Engine.Registry.create () in
-          let fd =
-            Engine.Registry.register fresh ~name:"f" ~grid
-              ~budget:(p ~eps:10. ~delta:1e-4) ~dense_threshold model
-          in
-          let what = if dense_threshold = 0 then "tree" else "dense" in
-          check_true
-            (what ^ ": backend as forced")
-            (Geometry.Pointset.index_is_dense (Engine.Registry.index ds)
-            = (dense_threshold <> 0));
-          same_answers what (Engine.Registry.index ds) (Engine.Registry.index fd))
-        [ 0; max_int ];
+        (fun (what, dense_threshold) ->
+          List.iter
+            (fun index_domains ->
+              let what = Printf.sprintf "%s, %d domain(s)" what index_domains in
+              let ds, model, dense, applied =
+                apply_ops ~dense_threshold ~index_domains ~grid ~base ~pool ops
+              in
+              Alcotest.(check int)
+                "each applied op bumps the epoch" applied (Engine.Registry.epoch ds);
+              let fresh = Engine.Registry.create () in
+              let fd =
+                Engine.Registry.register fresh ~name:"f" ~grid
+                  ~budget:(p ~eps:10. ~delta:1e-4) ~dense_threshold model
+              in
+              check_true
+                (what ^ ": backend as the policy says")
+                (Geometry.Pointset.index_is_dense (Engine.Registry.index ds) = dense);
+              same_answers what (Engine.Registry.index ds) (Engine.Registry.index fd))
+            [ 1; 3 ])
+        [ ("tree", 0); ("threshold 45", 45); ("dense", max_int) ];
       true)
 
 (* --- service: cache hits are free, mutations invalidate ------------------ *)
@@ -308,6 +378,7 @@ let test_standing_budget_schedule () =
 let suite =
   [
     case "epoch versioning and structural sharing" test_epoch_versioning;
+    case "non-finite coordinates refused" test_non_finite_refused;
     case "mutation invalidates the bounds cache" test_mutation_invalidates_bounds_cache;
     test_epoch_differential;
     slow_case "cache hit charges nothing" test_cache_hit_charges_nothing;

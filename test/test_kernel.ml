@@ -75,6 +75,36 @@ let test_dists_sort_kth_diff =
       check_float_array "sorted" out_r out_c;
       true)
 
+(* Dense-index rows are hundreds to thousands long, where the C sort
+   buckets by radix before finishing each bucket by comparison: long
+   inputs with duplicates, zeros, values differing only in their lowest
+   mantissa bits (one bucket), a wide exponent range, negatives, and a
+   constant array (every pass skipped). *)
+let test_sort_long_diff =
+  let value =
+    QCheck2.Gen.(
+      oneof
+        [
+          float_range 0. 2.;
+          (int_range 0 5 >|= fun i -> float_of_int i *. 0.25);
+          return 0.;
+          (int_range 0 4096 >|= fun i -> 1. +. Float.ldexp (float_of_int i) (-40));
+          (pair (float_range 1. 2.) (int_range (-900) 900) >|= fun (m, e) -> Float.ldexp m e);
+          float_range (-3.) (-1e-3);
+        ])
+  in
+  qcheck ~count:60 "sort_floats on long rows: C = Ref bitwise"
+    QCheck2.Gen.(
+      int_range 200 3000 >>= fun n ->
+      oneof [ array_size (return n) value; (value >|= fun v -> Array.make n v) ])
+    (fun a ->
+      with_native @@ fun () ->
+      let c = Array.copy a and r = Array.copy a in
+      Kernel.sort_floats c;
+      Kernel.Ref.sort_floats r;
+      check_float_array "sorted" r c;
+      true)
+
 let test_counts_le_sorted_diff =
   qcheck "counts_le_sorted: C = Ref"
     QCheck2.Gen.(
@@ -296,6 +326,7 @@ let suite =
   [
     test_count_within_diff;
     test_dists_sort_kth_diff;
+    test_sort_long_diff;
     test_counts_le_sorted_diff;
     test_top_avg_capped_diff;
     test_jl_sum_rows_diff;

@@ -530,6 +530,52 @@ let test_prom_of_spans_and_exposition () =
               "privcluster_budget_refusals_total{dataset=\"expo\"} 0";
             ])
 
+(* Epoch transitions are timed: each mutate job holds one registry span
+   naming the sizes, the backend and whether the index was maintained
+   incrementally or rebuilt. *)
+let test_index_maintenance_spans () =
+  with_tracing @@ fun () ->
+  let service = Engine.Service.create ~domains:2 ~seed:5 ~faults:Engine.Faults.none () in
+  let _, grid, w = small_workload ~n:200 () in
+  let dataset =
+    Engine.Service.register service ~name:"idx" ~grid ~dense_threshold:230
+      ~budget:(Prim.Dp.v ~eps:2.0 ~delta:1e-4)
+      w.Workload.Synth.points
+  in
+  let specs =
+    match
+      Engine.Job.parse
+        "mutate op=append n=20 seed=3 id=a\nmutate op=retire from=0 count=10 id=r\n\
+         mutate op=append n=50 seed=4 id=b\n"
+    with
+    | Ok specs -> specs
+    | Error e -> Alcotest.failf "parse: %s" e
+  in
+  ignore (Engine.Service.run_batch service ~dataset specs);
+  let spans = Obs.Span.spans () in
+  let registry =
+    List.filter (fun (sp : Obs.Span.span) -> sp.Obs.Span.cat = "index") spans
+  in
+  let expect =
+    [
+      ("registry.append", 200, 20, "dense", "incremental");
+      ("registry.retire", 220, 10, "dense", "incremental");
+      ("registry.append", 210, 50, "kdtree", "rebuild");
+    ]
+  in
+  check_int "one registry span per mutation" (List.length expect) (List.length registry);
+  List.iter2
+    (fun (name, n, k, backend, path) (sp : Obs.Span.span) ->
+      check_true (name ^ " named") (sp.Obs.Span.name = name);
+      check_true (name ^ ": n") (Obs.Span.attr_int sp "n" = Some n);
+      check_true (name ^ ": k") (Obs.Span.attr_int sp "k" = Some k);
+      check_true (name ^ ": backend") (Obs.Span.attr_string sp "backend" = Some backend);
+      check_true (name ^ ": path") (Obs.Span.attr_string sp "path" = Some path);
+      match Option.bind sp.Obs.Span.parent (Obs.Span.find spans) with
+      | Some parent -> check_true (name ^ " sits under its mutate job") (parent.Obs.Span.cat = "job")
+      | None -> Alcotest.failf "%s has no parent span" name)
+    expect registry
+
 (* --- latency histograms --------------------------------------------------- *)
 
 (* Nanosecond observations spanning the bucket range, including exact
@@ -846,6 +892,7 @@ let suite =
     case "json parser roundtrip and rejection" test_json_roundtrip;
     case "prometheus text format" test_prom_render;
     case "prometheus span families and post-hoc exposition" test_prom_of_spans_and_exposition;
+    case "index maintenance spans" test_index_maintenance_spans;
     case "hist: empty and singleton" test_hist_empty_and_singleton;
     case "hist: count/sum exact (qcheck)" test_hist_count_sum_exact;
     case "hist: quantiles monotone and clamped (qcheck)" test_hist_quantile_monotone;

@@ -12,7 +12,14 @@ let test_create_validation () =
   Alcotest.check_raises "empty" (Invalid_argument "Pointset.create: empty") (fun () ->
       ignore (Geometry.Pointset.create [||]));
   Alcotest.check_raises "mixed dims" (Invalid_argument "Pointset.create: mixed dimensions")
-    (fun () -> ignore (Geometry.Pointset.create [| [| 1. |]; [| 1.; 2. |] |]))
+    (fun () -> ignore (Geometry.Pointset.create [| [| 1. |]; [| 1.; 2. |] |]));
+  List.iter
+    (fun x ->
+      Alcotest.check_raises
+        (Printf.sprintf "coordinate %h" x)
+        (Invalid_argument "Pointset.create: non-finite coordinate")
+        (fun () -> ignore (Geometry.Pointset.create [| [| 0.5; 0.5 |]; [| 0.25; x |] |])))
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
 
 let test_ball_count () =
   let ps = Geometry.Pointset.create [| [| 0.; 0. |]; [| 1.; 0. |]; [| 0.3; 0. |] |] in

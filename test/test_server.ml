@@ -152,6 +152,27 @@ let test_wal_corruption_mid_file () =
   | Ok _ -> Alcotest.fail "mid-file corruption must refuse the journal");
   Sys.remove path
 
+let test_wal_non_finite_refused () =
+  (* A journaled append is replayed into the registry, whose sorted
+     distance rows need a total order: NaN or infinite coordinates are a
+     malformed record, so a journal holding one before valid frames is
+     refused like any other corruption. *)
+  List.iter
+    (fun x ->
+      let path = tmp_path ".wal" in
+      let bad =
+        { Wal.tenant = "acme"; dataset = "d1";
+          op = Wal.Append { epoch = 1; dim = 2; points = [| 0.5; x |] } }
+      in
+      write_wal path (bad :: sample_records);
+      (match Wal.load path with
+      | Error e ->
+          check_true (Printf.sprintf "%h: error names the coordinate" x)
+            (contains_sub e "not a finite number")
+      | Ok _ -> Alcotest.failf "a %h coordinate must refuse the journal" x);
+      Sys.remove path)
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
 let test_wal_compact () =
   let path = tmp_path ".wal" in
   write_wal path sample_records;
@@ -1242,6 +1263,7 @@ let suite =
     test_wal_hex_float_bitexact;
     case "wal torn tail tolerated" test_wal_torn_tail;
     case "wal mid-file corruption refused" test_wal_corruption_mid_file;
+    case "wal non-finite append refused" test_wal_non_finite_refused;
     case "wal compaction" test_wal_compact;
     case "wal histories and opening" test_wal_histories;
     case "accountant event stream" test_event_stream;
